@@ -10,6 +10,7 @@ before deployment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -70,8 +71,9 @@ class PlanViolation:
     """One structured reason a plan cannot run.
 
     ``code`` is stable and machine-readable (``structure``, ``budget``,
-    ``replication``, ``memory``, ``geometry``, ``deadlock``); ``module``
-    is the offending module index when the violation is localised.
+    ``replication``, ``memory``, ``cost``, ``geometry``, ``deadlock``);
+    ``module`` is the offending module index when the violation is
+    localised.
     """
 
     code: str
@@ -98,9 +100,10 @@ def preflight(
     """Cheap static checks a mapping must pass before it may execute.
 
     The subset of :func:`diagnose` that needs no performance evaluation:
-    chain coverage, replication legality, processor budget, and (when a
-    memory limit is known) per-module memory minimums.  The ``simulate``
-    and :class:`~repro.core.remap.RemapPlanner` entry points run this and
+    chain coverage, replication legality, finite per-data-set module
+    times, processor budget, and (when a memory limit is known)
+    per-module memory minimums.  The ``simulate`` and
+    :class:`~repro.core.remap.RemapPlanner` entry points run this and
     raise a structured :class:`~repro.core.exceptions.PlanError` instead
     of letting a bad plan surface as a mid-simulation deadlock or assert.
     """
@@ -125,6 +128,7 @@ def preflight(
                     module=i,
                 )
             )
+    violations += _nonfinite_modules(chain, mapping)
     if total_procs is not None and mapping.total_procs > total_procs:
         violations.append(
             PlanViolation(
@@ -147,6 +151,39 @@ def preflight(
                         module=i,
                     )
                 )
+    return violations
+
+
+def _nonfinite_modules(chain: TaskChain, mapping: Mapping) -> list[PlanViolation]:
+    """Modules whose per-data-set time is infinite or NaN.
+
+    A module's time is its tasks' execution, its internal redistributions
+    and its adjacent external transfers at the mapping's instance sizes —
+    every duration the simulator would schedule for it.  Such a stream
+    never reaches a steady state, so it is rejected before it runs.
+    """
+    violations = []
+    modules = mapping.modules
+    for i, m in enumerate(modules):
+        time = sum(float(chain.tasks[j].exec_cost(m.procs))
+                   for j in range(m.start, m.stop + 1))
+        time += sum(float(chain.edges[j].icom(m.procs))
+                    for j in range(m.start, m.stop))
+        for a in (i - 1, i):
+            if 0 <= a < len(modules) - 1:
+                sender, receiver = modules[a], modules[a + 1]
+                time += float(chain.edges[sender.stop].ecom(sender.procs,
+                                                             receiver.procs))
+        if not math.isfinite(time):
+            names = ",".join(t.name for t in m.tasks_of(chain))
+            violations.append(
+                PlanViolation(
+                    "cost",
+                    f"module {{{names}}} takes a non-finite time per data "
+                    f"set ({time!r}) on {m.procs} processors per instance",
+                    module=i,
+                )
+            )
     return violations
 
 

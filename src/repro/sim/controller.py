@@ -7,10 +7,12 @@ that was optimal at data set 0 can be far from optimal at data set 10^5.
 This module closes the loop:
 
 * the **drive loop** (:func:`drive`, reached via ``simulate(controller=...)``)
-  executes the stream in epochs — through the fast-path recurrence on
-  healthy stretches, or the event engine when the noise demands it — and
-  hands the controller one :class:`EpochObservation` per epoch (observed
-  rate plus per-instance busy seconds);
+  executes the stream in epochs through the segment loop of
+  :mod:`repro.sim.pipeline` that also carries plain and fault-tolerant
+  streams — on the fast-path recurrence on healthy stretches, or the
+  event engine when the noise demands it — and hands the controller one
+  :class:`EpochObservation` per epoch (observed rate plus per-instance
+  busy seconds);
 * the **controller** (:class:`AdaptiveController`) tracks an EWMA of the
   observed/predicted rate ratio.  While the EWMA stays inside a dead band
   the mapping is left alone.  A sustained breach (``patience`` consecutive
@@ -36,9 +38,7 @@ against (``experiments/drift_study.py``, ``BENCH_drift.json``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core.exceptions import SimulationError
 from ..core.mapping import Mapping
@@ -52,7 +52,6 @@ from ..core.response import (
 )
 from ..core.task import TaskChain
 from ..core.workspace import SolverWorkspace
-from .faults import EpochStats, RemapRecord
 from .noise import NoiseModel
 
 __all__ = [
@@ -470,36 +469,6 @@ class AdaptiveController:
         )
 
 
-def _pick_engine(engine: str, noise: NoiseModel) -> str:
-    """Engine selection for the drive loop (PR 6 dispatch, epoch edition).
-
-    ``auto`` keeps the bit-identical guarantee: the fast recurrence runs
-    epochs exactly when its arithmetic provably matches the event engine —
-    silent noise, or fully deterministic context-keyed drift.  Anything
-    random or contention-dependent runs on the event engine.
-    """
-    if engine == "event":
-        return "event"
-    if engine == "fast":
-        if not noise.batchable:
-            raise SimulationError(
-                "fast epochs need batchable noise; use engine='event'"
-            )
-        if noise.comm_interference > 0:
-            raise SimulationError(
-                "fast epochs cannot model transfer interference; use "
-                "engine='event'"
-            )
-        return "fast"
-    if engine != "auto":
-        raise SimulationError(
-            f"unknown engine {engine!r}: expected 'auto', 'event' or 'fast'"
-        )
-    if (not noise.active) or (noise.batchable and noise.deterministic):
-        return "fast"
-    return "event"
-
-
 def drive(
     chain: TaskChain,
     controller: AdaptiveController,
@@ -512,25 +481,21 @@ def drive(
 ):
     """Run a stream in epochs under the controller's supervision.
 
-    The stream drains at every epoch boundary (the same segmenting
-    :func:`~repro.sim.pipeline.simulate_fault_tolerant` uses around
-    failures): all in-flight data sets finish, the controller observes the
-    epoch, and — on a remap — the new mapping starts after
-    ``remap_latency`` seconds of downtime.  Fast and event epochs use
-    identical arithmetic, so a deterministic-drift run is bit-identical
-    across engines (the test suite compares the arrays).
+    The stream runs through the segment loop of :mod:`repro.sim.pipeline`
+    (the one :func:`~repro.sim.pipeline.simulate_fault_tolerant` uses
+    around failures) with an epoch boundary every
+    ``config.epoch_datasets`` data sets: all in-flight data sets finish,
+    the controller observes the epoch, and — on a remap — the new mapping
+    starts after ``remap_latency`` seconds of downtime.  Fast and event
+    epochs use identical arithmetic, so a deterministic-drift run is
+    bit-identical across engines (the test suite compares the arrays);
+    ``engine="auto"`` takes fast epochs exactly then.
 
     Called through ``simulate(controller=...)``; returns a
     :class:`~repro.sim.pipeline.SimulationResult` whose ``remaps``,
     ``epochs`` and ``controller`` fields carry the adaptation history.
     """
-    from .fastpath import _Pipeline, _run_scalar
-    from .pipeline import (
-        SimulationResult,
-        _Run,
-        _default_warmup,
-        _pooled_throughput,
-    )
+    from .pipeline import _resolve_engine, _stream
 
     if n_datasets < 2:
         raise SimulationError("need at least 2 data sets to measure throughput")
@@ -544,117 +509,12 @@ def drive(
             "controller was built for a different chain structure"
         )
     noise = noise or NoiseModel.silent()
-    eng = _pick_engine(engine, noise)
+    eng = _resolve_engine(engine, noise, controlled=True)
     if mapping is not None and mapping != controller.mapping:
         controller.adopt(mapping)
-    cfg = controller.config
-
-    n = n_datasets
-    completions = np.full(n, np.nan)
-    injections = np.full(n, np.nan)
-    busy_total: dict[tuple[int, int], float] = {}
-    epochs: list[EpochStats] = []
-    remaps: list[RemapRecord] = []
-    pipes: dict[tuple, _Pipeline] = {}
-    events = 0
-    downtime = 0.0
-    t0 = 0.0
-    d0 = 0
-    idx = 0
-    current = controller.mapping
-    current.validate(chain)
-
-    while d0 < n:
-        d1 = min(d0 + cfg.epoch_datasets, n)
-        if eng == "fast":
-            key = tuple((m.start, m.stop, m.procs, m.replicas) for m in current)
-            pipe = pipes.get(key)
-            if pipe is None:
-                pipe = pipes[key] = _Pipeline(chain, current, None, 0.0)
-            ready = [[t0] * r for r in pipe.replicas]
-            busy = [[0.0] * r for r in pipe.replicas]
-            factors = None
-            if noise.active:
-                epd = pipe.events_per_dataset
-                ds = np.repeat(np.arange(d0, d1), epd)
-                cm = np.tile(pipe.comm_template, d1 - d0)
-                draws = noise.factors((d1 - d0) * epd, datasets=ds, comm=cm)
-                factors = iter(draws.tolist())
-            _run_scalar(pipe, ready, busy, completions, injections, d0, d1,
-                        factors=factors)
-            events += (d1 - d0) * pipe.events_per_dataset
-            ebusy = {
-                (i, c): busy[i][c]
-                for i in range(pipe.k)
-                for c in range(pipe.replicas[i])
-                if busy[i][c] > 0.0
-            }
-        else:
-            run = _Run(chain, current, list(range(d0, d1)), noise, None,
-                       completions=completions, injections=injections,
-                       start_time=t0, queue=queue)
-            run.start()
-            run.sim.run()
-            events += run.sim.events_processed
-            ebusy = dict(run.busy_time)
-        for k2, v in ebusy.items():
-            busy_total[k2] = busy_total.get(k2, 0.0) + v
-
-        t_end = float(np.max(completions[d0:d1]))
-        obs = EpochObservation(
-            index=idx, start=d0, stop=d1, t_start=t0, t_end=t_end,
-            busy=ebusy, remaining=n - d1,
-        )
-        decision = controller.observe(obs)
-        epochs.append(
-            EpochStats(t0, t_end, d1 - d0, (d1 - d0) / (t_end - t0),
-                       decision.action)
-        )
-        t0 = t_end
-        if decision.remap:
-            resume = t_end + cfg.remap_latency
-            remaps.append(
-                RemapRecord(
-                    time=t_end,
-                    resume_time=resume,
-                    failed_module=-1,  # no failure: drift-triggered remap
-                    surviving_procs=controller.total_procs,
-                    old_mapping=current,
-                    new_mapping=decision.mapping,
-                    predicted_throughput=decision.predicted_rate,
-                    datasets_replayed=0,
-                )
-            )
-            downtime += cfg.remap_latency
-            current = decision.mapping
-            current.validate(chain)
-            t0 = resume
-        d0 = d1
-        idx += 1
-
-    warmup = _default_warmup(n, len(current), warmup_fraction)
-    throughput = _pooled_throughput(completions, warmup)
-    latencies = completions[warmup:] - injections[warmup:]
-    makespan = float(np.max(completions))
-    busy_fractions = {
-        key: v / makespan if makespan > 0 else 0.0
-        for key, v in sorted(busy_total.items())
-    }
-    return SimulationResult(
-        n_datasets=n,
-        makespan=makespan,
-        throughput=float(throughput),
-        mean_latency=float(latencies.mean()),
-        completions=completions,
-        injections=injections,
-        warmup=warmup,
-        events_processed=events,
-        engine=eng,
-        busy_fractions=busy_fractions,
-        trace=None,
-        remaps=remaps,
-        epochs=epochs,
-        availability=1.0 - (downtime / makespan if makespan > 0 else 0.0),
-        final_mapping=current,
-        controller=controller,
+    controller.mapping.validate(chain)
+    return _stream(
+        chain, controller.mapping, n_datasets, noise, eng, warmup_fraction,
+        remap_latency=controller.config.remap_latency, controller=controller,
+        queue=queue,
     )

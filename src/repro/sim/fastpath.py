@@ -58,7 +58,6 @@ from math import gcd, isfinite, lcm
 
 import numpy as np
 
-from ..core.exceptions import SimulationError
 from ..core.mapping import Mapping
 from ..core.task import TaskChain
 from .noise import NoiseModel
@@ -224,6 +223,40 @@ def _run_scalar(pipe: _Pipeline, ready, busy, completions, injections,
         ready[last][d % rs[last]] = t
 
 
+def _noise_factors(noise: NoiseModel, pipe: _Pipeline, d0: int, d1: int):
+    """Batched noise draws for data sets ``[d0, d1)``, or ``None``.
+
+    One factor per operation in data-set order, each drawn with its (data
+    set, is-transfer) context so non-stationary models price it exactly as
+    the event engine would.  ``None`` for a model that changes nothing.
+    """
+    if not noise.active:
+        return None
+    epd = pipe.events_per_dataset
+    ds = np.repeat(np.arange(d0, d1), epd)
+    cm = np.tile(pipe.comm_template, d1 - d0)
+    return iter(noise.factors((d1 - d0) * epd, datasets=ds, comm=cm).tolist())
+
+
+def _segment(pipe: _Pipeline, t0: float, completions, injections,
+             d0: int, d1: int, noise: NoiseModel) -> dict[tuple[int, int], float]:
+    """Run data sets ``[d0, d1)`` as one stream segment released at ``t0``.
+
+    Every instance starts idle at ``t0``, as after a drained epoch.
+    Returns the segment's per-instance busy seconds (busy instances only).
+    """
+    ready = [[t0] * r for r in pipe.replicas]
+    busy = [[0.0] * r for r in pipe.replicas]
+    _run_scalar(pipe, ready, busy, completions, injections, d0, d1,
+                factors=_noise_factors(noise, pipe, d0, d1))
+    return {
+        (i, c): b
+        for i, row in enumerate(busy)
+        for c, b in enumerate(row)
+        if b > 0.0
+    }
+
+
 def _block_busy(pipe: _Pipeline, count: int) -> dict[tuple[int, int], float]:
     """Per-instance busy time of ``count`` noise-free data sets (0-aligned).
 
@@ -342,34 +375,22 @@ def simulate_fast(
     Same contract and result type as :func:`repro.sim.simulate` with
     ``engine="event"`` on a healthy run; ``stats`` (optional dict) receives
     fast-path diagnostics (``leaped``, ``scalar_datasets``, ``period``).
-    Callers normally go through ``simulate(engine=...)``, which validates
-    eligibility; this function assumes a validated healthy configuration.
+    Callers normally go through ``simulate(engine=...)``, which also runs
+    the static pre-flight; noise the recurrence cannot represent raises
+    :class:`~repro.core.exceptions.SimulationError` here too.
 
     ``first_dataset`` offsets the noise context: local data set ``i`` is
     priced as global data set ``first_dataset + i`` (drift indexing), and
-    ``start_time`` releases every instance at an absolute time — together
-    they let the adaptive drive loop run epochs of a longer stream through
-    the recurrence with the same arithmetic the event engine would use.
+    ``start_time`` releases every instance at an absolute time, so a run
+    can stand for a later stretch of a longer stream.  Multi-segment
+    streams (epochs, remaps) run through the segment loop of
+    :mod:`repro.sim.pipeline` instead, one :func:`_segment` per epoch.
     """
-    # Imported here: pipeline.py imports this module lazily inside
-    # simulate(), so a top-level back-import would be circular.
-    from .pipeline import (
-        SimulationResult,
-        _default_warmup,
-        _epochs_from,
-        _measure_throughput,
-    )
+    # Imported here: pipeline.py imports this module at its own import
+    # time, so a top-level back-import would be circular.
+    from .pipeline import _resolve_engine, _result
 
-    if not noise.batchable:
-        raise SimulationError(
-            "fast engine needs batchable noise (stationary, or context-"
-            "keyed like DriftNoiseModel); use engine='event'"
-        )
-    if noise.comm_interference > 0:
-        raise SimulationError(
-            "fast engine cannot model transfer interference "
-            "(contention depends on event-time overlap); use engine='event'"
-        )
+    _resolve_engine("fast", noise)
     pipe = _Pipeline(chain, mapping, placements, hop_penalty)
     n = n_datasets
     completions = np.empty(n)
@@ -389,14 +410,12 @@ def simulate_fast(
         # block by block (bounded memory at n=1e6+), passing each draw's
         # (data set, is-transfer) context for non-stationary models.
         block = max(1, 65536 // max(pipe.events_per_dataset, 1)) * 256
-        epd = pipe.events_per_dataset
         while done < n:
             stop = min(done + block, n)
-            ds = np.repeat(np.arange(done, stop) + first_dataset, epd)
-            cm = np.tile(pipe.comm_template, stop - done)
-            draws = noise.factors((stop - done) * epd, datasets=ds, comm=cm)
+            factors = _noise_factors(noise, pipe, done + first_dataset,
+                                     stop + first_dataset)
             _run_scalar(pipe, ready, busy, completions, injections,
-                        done, stop, factors=iter(draws.tolist()))
+                        done, stop, factors=factors)
             done = stop
     else:
         snapshots: list[tuple[float, ...]] = []
@@ -448,32 +467,12 @@ def simulate_fast(
         stats["period"] = period_used
         stats["hyperperiod"] = L
 
-    warmup = _default_warmup(n, pipe.k, warmup_fraction)
-    throughput = _measure_throughput(completions, mapping, n, warmup)
-    latencies = completions[warmup:] - injections[warmup:]
-    makespan = float(completions.max())
     busy_time = {
         (i, c): busy[i][c]
         for i in range(pipe.k)
         for c in range(pipe.replicas[i])
         if c < n  # instances that never saw a data set have no busy entry
     }
-    busy_fractions = {
-        key: b / makespan if makespan > 0 else 0.0
-        for key, b in sorted(busy_time.items())
-    }
-    return SimulationResult(
-        n_datasets=n,
-        makespan=makespan,
-        throughput=float(throughput),
-        mean_latency=float(latencies.mean()),
-        completions=completions,
-        injections=injections,
-        warmup=warmup,
-        events_processed=n * pipe.events_per_dataset,
-        engine="fast",
-        busy_fractions=busy_fractions,
-        trace=None,
-        epochs=_epochs_from(completions, [], [], makespan),
-        final_mapping=mapping,
-    )
+    return _result(mapping, completions, injections, busy_time,
+                   warmup_fraction, events=n * pipe.events_per_dataset,
+                   engine="fast")

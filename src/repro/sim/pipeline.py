@@ -40,6 +40,20 @@ and transient communication faults (see ``docs/fault_tolerance.md``):
   :class:`~repro.core.remap.RemapPlanner`, reusing the solver's segment
   cache and workspace), charges a configurable remap latency to the
   stream, and replays the unfinished data sets under the new mapping.
+
+One stream loop
+---------------
+:func:`simulate`, :func:`simulate_fault_tolerant` and the adaptive
+controller's :func:`~repro.sim.controller.drive` all run their stream
+through :func:`_stream`, and every result comes from :func:`_result`.
+A segment runs on ``_Run`` (event engine) or ``fastpath._run_scalar``
+(fast recurrence) and ends when the stream drains, when dropped data sets
+must replay, when a module lost its last instance (the planner re-solves),
+or when a controller's epoch ends (the controller observes and may
+remap).  :func:`_resolve_engine` is the one fast-engine eligibility
+check.  Only :func:`simulate` on the fast engine bypasses the loop: it
+runs :func:`~repro.sim.fastpath.simulate_fast`, which keeps cycle leaping
+for a single healthy stream.
 """
 
 from __future__ import annotations
@@ -49,16 +63,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.exceptions import SimulationError
+from ..core.exceptions import InfeasibleError, SimulationError
 from ..core.mapping import Mapping
+from ..core.remap import RemapPlanner
 from ..core.task import TaskChain
 from ..core.validate import ensure_valid_plan
+from . import fastpath
 from .engine import Simulator
 from .faults import EpochStats, FaultEvent, FaultModel, RemapRecord
 from .noise import NoiseModel
 from .trace import TraceEvent, TraceLog
 
 __all__ = ["SimulationResult", "simulate", "simulate_fault_tolerant"]
+
+#: Segments an epoch (the whole stream, without a controller) may take to
+#: drain: its first run plus every drop replay and failure remap.  More
+#: means failures outpace recovery.
+MAX_SEGMENTS = 32
 
 
 @dataclass
@@ -116,7 +137,7 @@ class SimulationResult:
                 f", availability={self.availability:.4f}"
             )
         return (
-            f"SimulationResult(throughput={self.throughput:.4g}/s, "
+            f"{type(self).__name__}(throughput={self.throughput:.4g}/s, "
             f"latency={self.mean_latency:.4g}s, n={self.n_datasets}{extra})"
         )
 
@@ -585,6 +606,8 @@ class _Run:
                 self.sim.schedule(delay, self._random_failure)
 
 
+
+
 def _pooled_throughput(completions: np.ndarray, warmup: int) -> float:
     """Endpoint throughput estimate over the pooled completion stream."""
     ordered = np.sort(completions[np.isfinite(completions)])
@@ -598,7 +621,7 @@ def _pooled_throughput(completions: np.ndarray, warmup: int) -> float:
     return float((n - warmup) / (t1 - t0))
 
 
-def _measure_throughput(completions: np.ndarray, mapping: Mapping, n: int,
+def _measure_throughput(completions: np.ndarray, mapping: Mapping,
                         warmup: int) -> float:
     """Steady-state throughput estimate.
 
@@ -638,49 +661,46 @@ def _default_warmup(n_datasets: int, n_modules: int, warmup_fraction: float) -> 
 
 
 def _resolve_engine(engine: str, noise: NoiseModel,
-                    faults: FaultModel | None, collect_trace: bool) -> str:
-    """Pick (or validate) a simulation engine for one ``simulate`` call.
+                    faults: FaultModel | None = None,
+                    collect_trace: bool = False,
+                    controlled: bool = False) -> str:
+    """Pick (or validate) the engine a stream's segments run on.
 
-    ``"auto"`` is deliberately conservative: it takes the fast path only
-    when the run is *provably equivalent* — no faults, no active noise, no
-    trace — so the default engine never changes any observable result, bit
-    for bit.  ``"fast"`` additionally admits batchable noise — stationary
-    jitter (batched draws: statistically, not bitwise, equivalent) and
-    dataset-indexed drift (bit-identical when jitter-free, see
-    :class:`~repro.sim.noise.DriftNoiseModel`) — and raises for anything
-    the recurrence cannot represent.
+    The one fast-engine eligibility check.  ``"fast"`` admits batchable
+    noise — stationary jitter (batched draws: statistically, not bitwise,
+    equivalent) and dataset-indexed drift (bit-identical when jitter-free,
+    see :class:`~repro.sim.noise.DriftNoiseModel`) — and raises for
+    anything the recurrence cannot represent.  ``"auto"`` takes the fast
+    path only when it is *provably equivalent*, bit for bit: a healthy,
+    untraced, noise-free stream — or, on a ``controlled`` run, noise that
+    is a pure function of the data set (deterministic drift), whose
+    per-epoch batched draws equal the event engine's per-operation ones.
     """
-    faults_active = faults is not None and faults.active
-    if engine == "event":
-        return "event"
-    if engine == "fast":
-        if faults_active:
-            raise SimulationError(
-                "fast engine cannot inject faults; use engine='event' or "
-                "simulate_fault_tolerant()"
-            )
-        if collect_trace:
-            raise SimulationError(
-                "fast engine does not record traces; use engine='event'"
-            )
-        if not noise.batchable:
-            raise SimulationError(
-                "fast engine needs batchable noise (stationary, or "
-                "context-keyed like DriftNoiseModel); use engine='event'"
-            )
-        if noise.comm_interference > 0:
-            raise SimulationError(
-                "fast engine cannot model transfer interference; use "
-                "engine='event'"
-            )
-        return "fast"
-    if engine != "auto":
+    if engine not in ("auto", "event", "fast"):
         raise SimulationError(
             f"unknown engine {engine!r}: expected 'auto', 'event' or 'fast'"
         )
-    if faults_active or collect_trace or noise.active:
+    if engine == "event":
         return "event"
-    return "fast"
+    blocker = None
+    if faults is not None and faults.active:
+        blocker = ("fast engine cannot inject faults; use engine='event' or "
+                   "simulate_fault_tolerant()")
+    elif collect_trace:
+        blocker = "fast engine does not record traces; use engine='event'"
+    elif not noise.batchable:
+        blocker = ("fast engine needs batchable noise (stationary, or "
+                   "context-keyed like DriftNoiseModel); use engine='event'")
+    elif noise.comm_interference > 0:
+        blocker = ("fast engine cannot model transfer interference "
+                   "(contention depends on event-time overlap); use "
+                   "engine='event'")
+    if engine == "fast":
+        if blocker is not None:
+            raise SimulationError(blocker)
+        return "fast"
+    exact = not noise.active or (controlled and noise.deterministic)
+    return "fast" if blocker is None and exact else "event"
 
 
 def simulate(
@@ -765,67 +785,233 @@ def simulate(
     ensure_valid_plan(chain, mapping)
     noise = noise or NoiseModel.silent()
     if _resolve_engine(engine, noise, faults, collect_trace) == "fast":
-        # Imported lazily: fastpath imports this module's result/measure
-        # helpers at its own import time.
-        from .fastpath import simulate_fast
-
-        return simulate_fast(
+        return fastpath.simulate_fast(
             chain, mapping, n_datasets, noise=noise,
             warmup_fraction=warmup_fraction,
             placements=placements, hop_penalty=hop_penalty,
         )
-    trace = TraceLog() if collect_trace else None
+    return _stream(
+        chain, mapping, n_datasets, noise, "event", warmup_fraction,
+        trace=TraceLog() if collect_trace else None, faults=faults,
+        placements=placements, hop_penalty=hop_penalty, queue=queue,
+    )
 
-    completions = np.full(n_datasets, np.nan)
-    injections = np.full(n_datasets, np.nan)
-    run = _Run(chain, mapping, list(range(n_datasets)), noise, trace,
-               completions=completions, injections=injections, faults=faults,
-               placements=placements, hop_penalty=hop_penalty, queue=queue)
-    if run.remap_needed is not None:
-        raise SimulationError("mapping has a module with no live instance")
-    run.start()
-    run.sim.run()
 
-    if run.remap_needed is not None:
-        t, module, _ = run.remap_needed
-        raise SimulationError(
-            f"module {module} lost its only instance at t={t:.4g}; use "
-            f"simulate_fault_tolerant() for DP-driven remapping"
-        )
-    if run.dropped:
-        raise SimulationError(
-            f"{len(run.dropped)} data sets were dropped during degradation "
-            f"and need an end-of-stream replay; use simulate_fault_tolerant()"
-        )
-    if np.isnan(run.completions).any():
-        raise SimulationError("simulation deadlocked: some data sets never completed")
+def _stream(chain: TaskChain, mapping: Mapping, n_datasets: int,
+            noise: NoiseModel, engine: str, warmup_fraction: float,
+            trace: TraceLog | None = None, faults: FaultModel | None = None,
+            planner=None, machine_procs: int = 0, remap_latency: float = 0.0,
+            controller=None, placements=None, hop_penalty: float = 0.0,
+            queue: str = "heap") -> SimulationResult:
+    """The one segmented stream loop behind every simulate entry point.
 
-    warmup = _default_warmup(n_datasets, len(mapping), warmup_fraction)
-    if any(f.kind == "proc_fail" for f in run.faults_injected):
-        # Degraded runs lose per-instance periodicity: pooled estimate.
-        throughput = _pooled_throughput(run.completions, warmup)
+    The stream runs in *segments*, each on the event engine (``_Run``) or
+    the fast recurrence (``fastpath._run_scalar``), as ``engine`` says.
+    A segment ends at one of four boundaries:
+
+    * the stream (or the current epoch) drains;
+    * data sets were dropped during degradation — they replay in a
+      follow-up segment under the same degraded mapping;
+    * a module lost its last instance — ``planner.plan(survivors)``
+      re-solves on the surviving processors, ``remap_latency`` seconds of
+      downtime are charged, and the unfinished data sets replay under the
+      new mapping;
+    * an epoch of ``controller.config.epoch_datasets`` data sets ended —
+      ``controller.observe`` digests it and may remap.
+
+    Without a ``planner`` the two failure boundaries raise instead, naming
+    :func:`simulate_fault_tolerant`.  Each epoch (the whole stream when
+    there is no controller) must drain within :data:`MAX_SEGMENTS`
+    segments.
+    """
+    n = n_datasets
+    completions = np.full(n, np.nan)
+    injections = np.full(n, np.nan)
+    busy_time: dict[tuple[int, int], float] = {}
+    failures: list[FaultEvent] = []
+    remaps: list[RemapRecord] = []
+    epochs: list[EpochStats] = []
+    pipes: dict[Mapping, fastpath._Pipeline] = {}
+    events = segments = 0
+    current, t0, d0 = mapping, 0.0, 0
+    span = n
+    if controller is not None:
+        from .controller import EpochObservation
+
+        span = controller.config.epoch_datasets
+
+    while d0 < n:
+        d1 = min(d0 + span, n)
+        t_start = t0
+        batch = list(range(d0, d1))
+        ebusy: dict[tuple[int, int], float] = {}
+        dead: set[tuple[int, int]] = set()
+        tries = 0
+        while batch:
+            if tries >= MAX_SEGMENTS:
+                raise SimulationError(
+                    f"stream did not drain within {MAX_SEGMENTS} segments "
+                    f"({len(batch)} data sets outstanding)"
+                )
+            tries += 1
+            segments += 1
+            if engine == "fast":
+                pipe = pipes.get(current)
+                if pipe is None:
+                    pipe = pipes[current] = fastpath._Pipeline(
+                        chain, current, placements, hop_penalty
+                    )
+                ebusy = fastpath._segment(pipe, t0, completions, injections,
+                                          d0, d1, noise)
+                events += (d1 - d0) * pipe.events_per_dataset
+                break
+            run = _Run(chain, current, batch, noise, trace,
+                       completions=completions, injections=injections,
+                       faults=faults, dead=dead, start_time=t0,
+                       busy_time=ebusy, placements=placements,
+                       hop_penalty=hop_penalty, queue=queue)
+            if run.remap_needed is None:
+                run.start()
+                run.sim.run()
+                events += run.sim.events_processed
+                failures.extend(run.faults_injected)
+            for f in run.faults_injected:
+                if f.kind == "proc_fail":
+                    dead.add((f.module, f.instance))
+            unfinished = [d for d in batch if np.isnan(completions[d])]
+            if run.remap_needed is not None and unfinished:
+                t_fail, module, _ = run.remap_needed
+                if planner is None:
+                    raise SimulationError(
+                        f"module {module} lost its only instance at "
+                        f"t={t_fail:.4g}; use simulate_fault_tolerant() for "
+                        f"DP-driven remapping"
+                    )
+                surviving = machine_procs - faults.procs_lost
+                try:
+                    plan = planner.plan(surviving)
+                except InfeasibleError as exc:
+                    raise SimulationError(
+                        f"stream aborted at t={t_fail:.4g}: chain no longer "
+                        f"fits on the {surviving} surviving processors ({exc})"
+                    ) from exc
+                resume = t_fail + remap_latency
+                remaps.append(RemapRecord(
+                    time=t_fail, resume_time=resume, failed_module=module,
+                    surviving_procs=surviving, old_mapping=current,
+                    new_mapping=plan.mapping,
+                    predicted_throughput=plan.throughput,
+                    datasets_replayed=len(unfinished),
+                ))
+                if trace is not None:
+                    trace.record(
+                        TraceEvent(-1, 0, "remap", f"remap@P={surviving}", -1,
+                                   t_fail, resume)
+                    )
+                current = plan.mapping
+                dead = set()  # the new mapping only uses surviving processors
+                t0 = resume
+            elif unfinished:
+                if planner is None:
+                    if run.dropped:
+                        raise SimulationError(
+                            f"{len(run.dropped)} data sets were dropped "
+                            f"during degradation and need an end-of-stream "
+                            f"replay; use simulate_fault_tolerant()"
+                        )
+                    raise SimulationError(
+                        "simulation deadlocked: some data sets never completed"
+                    )
+                t0 = run.sim.now
+            injections[unfinished] = np.nan
+            batch = unfinished
+
+        for key, busy in ebusy.items():
+            busy_time[key] = busy_time.get(key, 0.0) + busy
+        if controller is not None:
+            t_end = float(np.max(completions[d0:d1]))
+            decision = controller.observe(EpochObservation(
+                index=len(epochs), start=d0, stop=d1, t_start=t_start,
+                t_end=t_end, busy=ebusy, remaining=n - d1,
+            ))
+            epochs.append(EpochStats(t_start, t_end, d1 - d0,
+                                     (d1 - d0) / (t_end - t_start),
+                                     decision.action))
+            t0 = t_end
+            if decision.remap:
+                resume = t_end + remap_latency
+                remaps.append(RemapRecord(
+                    time=t_end, resume_time=resume,
+                    failed_module=-1,  # no failure: drift-triggered remap
+                    surviving_procs=controller.total_procs,
+                    old_mapping=current, new_mapping=decision.mapping,
+                    predicted_throughput=decision.predicted_rate,
+                    datasets_replayed=0,
+                ))
+                current = decision.mapping
+                current.validate(chain)
+                t0 = resume
+        d0 = d1
+
+    # Several segments, or a lost processor, break the per-instance
+    # periodicity the endpoint-per-instance estimate relies on.
+    pooled = segments > 1 or any(f.kind == "proc_fail" for f in failures)
+    return _result(
+        mapping, completions, injections, busy_time, warmup_fraction,
+        events=events, engine=engine, pooled=pooled, final_mapping=current,
+        trace=trace, failures=failures, remaps=remaps,
+        epochs=epochs if controller is not None else None,
+        controller=controller,
+    )
+
+
+def _result(mapping: Mapping, completions: np.ndarray, injections: np.ndarray,
+            busy_time: dict, warmup_fraction: float, events: int,
+            engine: str = "event", pooled: bool = False,
+            final_mapping: Mapping | None = None,
+            trace: TraceLog | None = None, failures: list | None = None,
+            remaps: list | None = None, epochs: list | None = None,
+            controller=None) -> SimulationResult:
+    """Measure a finished stream: the one :class:`SimulationResult` builder.
+
+    The warmup covers the fill transient of the *initial* ``mapping``,
+    whatever the stream remapped to later.  ``pooled`` selects the pooled
+    endpoint throughput estimate over the per-final-instance one.
+    ``epochs`` defaults to the post-hoc split at failures and remaps.
+    """
+    n = len(completions)
+    failures = failures or []
+    remaps = remaps or []
+    warmup = _default_warmup(n, len(mapping), warmup_fraction)
+    if pooled:
+        throughput = _pooled_throughput(completions, warmup)
     else:
-        throughput = _measure_throughput(run.completions, mapping, n_datasets, warmup)
-    latencies = run.completions[warmup:] - run.injections[warmup:]
-    makespan = float(run.completions.max())
-    busy_fractions = {
-        key: busy / makespan if makespan > 0 else 0.0
-        for key, busy in sorted(run.busy_time.items())
-    }
+        throughput = _measure_throughput(completions, mapping, warmup)
+    latencies = completions[warmup:] - injections[warmup:]
+    makespan = float(completions.max())
+    downtime = sum(r.downtime for r in remaps)
     return SimulationResult(
-        n_datasets=n_datasets,
+        n_datasets=n,
         makespan=makespan,
         throughput=float(throughput),
         mean_latency=float(latencies.mean()),
-        completions=run.completions,
-        injections=run.injections,
+        completions=completions,
+        injections=injections,
         warmup=warmup,
-        events_processed=run.sim.events_processed,
-        busy_fractions=busy_fractions,
+        events_processed=events,
+        engine=engine,
+        busy_fractions={
+            key: busy / makespan if makespan > 0 else 0.0
+            for key, busy in sorted(busy_time.items())
+        },
         trace=trace,
-        failures=run.faults_injected,
-        epochs=_epochs_from(run.completions, run.faults_injected, [], makespan),
-        final_mapping=mapping,
+        failures=failures,
+        remaps=remaps,
+        epochs=(epochs if epochs is not None
+                else _epochs_from(completions, failures, remaps, makespan)),
+        availability=1.0 - (downtime / makespan if makespan > 0 else 0.0),
+        final_mapping=final_mapping or mapping,
+        controller=controller,
     )
 
 
@@ -868,157 +1054,39 @@ def simulate_fault_tolerant(
     remap_latency: float = 0.05,
     mem_per_proc_mb: float = float("inf"),
     planner=None,
-    method: str = "auto",
-    max_segments: int = 32,
     queue: str = "heap",
 ) -> SimulationResult:
     """Run a stream to completion across failures, degradation, and remaps.
 
-    The stream executes in *segments*.  Within a segment, replicated
-    modules absorb failures by degrading; a segment ends when either the
-    stream drains, some data sets were dropped (they replay in a follow-up
-    segment under the same degraded mapping), or a module lost its last
-    instance — in which case the DP solver re-runs on the surviving
-    ``machine_procs - procs_lost`` processors (one processor is lost per
-    failure; the dead instance's other processors rejoin the pool),
-    ``remap_latency`` seconds of downtime are charged, and the unfinished
-    data sets replay under the new mapping.
+    The stream executes in *segments* (see :func:`_stream`).  Within a
+    segment, replicated modules absorb failures by degrading; a segment
+    ends when either the stream drains, some data sets were dropped (they
+    replay in a follow-up segment under the same degraded mapping), or a
+    module lost its last instance — in which case the DP solver re-runs on
+    the surviving ``machine_procs - procs_lost`` processors (one processor
+    is lost per failure; the dead instance's other processors rejoin the
+    pool), ``remap_latency`` seconds of downtime are charged, and the
+    unfinished data sets replay under the new mapping.
 
     ``planner`` (a :class:`~repro.core.remap.RemapPlanner`) carries the
     solver's segment cache across remaps and memoises plans per surviving
-    processor count; one is created on demand.  Raises
+    processor count; one is created when none is given.  Raises
     :class:`SimulationError` when the chain no longer fits on the survivors
-    or the stream fails to drain within ``max_segments`` segments.
+    or the stream fails to drain within :data:`MAX_SEGMENTS` segments.
     """
     if n_datasets < 2:
         raise SimulationError("need at least 2 data sets to measure throughput")
-    noise = noise or NoiseModel.silent()
-    faults = faults if faults is not None else FaultModel.silent()
     machine_procs = machine_procs if machine_procs is not None else mapping.total_procs
     ensure_valid_plan(
         chain, mapping, total_procs=machine_procs,
         mem_per_proc_mb=mem_per_proc_mb,
     )
-    trace = TraceLog() if collect_trace else None
-
-    completions = np.full(n_datasets, np.nan)
-    injections = np.full(n_datasets, np.nan)
-    busy_time: dict[tuple[int, int], float] = {}
-    remaining = list(range(n_datasets))
-    current = mapping
-    dead: set[tuple[int, int]] = set()
-    t0 = 0.0
-    failures: list[FaultEvent] = []
-    remaps: list[RemapRecord] = []
-    events = 0
-    segments = 0
-
-    while remaining:
-        if segments >= max_segments:
-            raise SimulationError(
-                f"stream did not drain within {max_segments} segments "
-                f"({len(remaining)} data sets outstanding)"
-            )
-        segments += 1
-        run = _Run(chain, current, remaining, noise, trace,
-                   completions=completions, injections=injections,
-                   faults=faults, dead=dead, start_time=t0,
-                   busy_time=busy_time, queue=queue)
-        if run.remap_needed is None:
-            run.start()
-            run.sim.run()
-            events += run.sim.events_processed
-            failures.extend(run.faults_injected)
-        for f in run.faults_injected:
-            if f.kind == "proc_fail":
-                dead.add((f.module, f.instance))
-
-        if run.remap_needed is not None:
-            t_fail, module, _ = run.remap_needed
-            unfinished = [d for d in remaining if np.isnan(completions[d])]
-            if not unfinished:
-                break  # the fatal failure struck after the stream drained
-            surviving = machine_procs - faults.procs_lost
-            if planner is None:
-                from ..core.remap import RemapPlanner
-
-                planner = RemapPlanner(
-                    chain, mem_per_proc_mb=mem_per_proc_mb, method=method
-                )
-            from ..core.exceptions import InfeasibleError
-
-            try:
-                plan = planner.plan(surviving)
-            except InfeasibleError as exc:
-                raise SimulationError(
-                    f"stream aborted at t={t_fail:.4g}: chain no longer fits "
-                    f"on the {surviving} surviving processors ({exc})"
-                ) from exc
-            resume = t_fail + remap_latency
-            remaps.append(
-                RemapRecord(
-                    time=t_fail,
-                    resume_time=resume,
-                    failed_module=module,
-                    surviving_procs=surviving,
-                    old_mapping=current,
-                    new_mapping=plan.mapping,
-                    predicted_throughput=plan.throughput,
-                    datasets_replayed=len(unfinished),
-                )
-            )
-            if trace is not None:
-                trace.record(
-                    TraceEvent(-1, 0, "remap", f"remap@P={surviving}", -1,
-                               t_fail, resume)
-                )
-            injections[unfinished] = np.nan
-            remaining = unfinished
-            current = plan.mapping
-            dead = set()  # the new mapping only uses surviving processors
-            t0 = resume
-            continue
-
-        unfinished = [d for d in remaining if np.isnan(completions[d])]
-        if unfinished:
-            # Dropped during degradation: replay at the tail of the stream
-            # under the same (degraded) mapping.
-            injections[unfinished] = np.nan
-            remaining = unfinished
-            t0 = run.sim.now
-            continue
-        remaining = []
-
-    if np.isnan(completions).any():
-        raise SimulationError("simulation deadlocked: some data sets never completed")
-
-    warmup = _default_warmup(n_datasets, len(mapping), warmup_fraction)
-    degraded = bool(remaps) or any(f.kind == "proc_fail" for f in failures)
-    if degraded:
-        throughput = _pooled_throughput(completions, warmup)
-    else:
-        throughput = _measure_throughput(completions, current, n_datasets, warmup)
-    latencies = completions[warmup:] - injections[warmup:]
-    makespan = float(completions.max())
-    downtime = sum(r.downtime for r in remaps)
-    busy_fractions = {
-        key: busy / makespan if makespan > 0 else 0.0
-        for key, busy in sorted(busy_time.items())
-    }
-    return SimulationResult(
-        n_datasets=n_datasets,
-        makespan=makespan,
-        throughput=float(throughput),
-        mean_latency=float(latencies.mean()),
-        completions=completions,
-        injections=injections,
-        warmup=warmup,
-        events_processed=events,
-        busy_fractions=busy_fractions,
-        trace=trace,
-        failures=failures,
-        remaps=remaps,
-        epochs=_epochs_from(completions, failures, remaps, makespan),
-        availability=1.0 - (downtime / makespan if makespan > 0 else 0.0),
-        final_mapping=current,
+    return _stream(
+        chain, mapping, n_datasets, noise or NoiseModel.silent(), "event",
+        warmup_fraction,
+        trace=TraceLog() if collect_trace else None,
+        faults=faults if faults is not None else FaultModel.silent(),
+        planner=(planner if planner is not None
+                 else RemapPlanner(chain, mem_per_proc_mb=mem_per_proc_mb)),
+        machine_procs=machine_procs, remap_latency=remap_latency, queue=queue,
     )
