@@ -10,6 +10,10 @@ assignment (cheap: ``O(P k)``), "then check[s] if the merged tasks should be
 separated" — until no neighbour improves.  The final clustering is re-solved
 with the greedy assignment (optionally with the Theorem-2 backtracking
 post-pass) to produce the mapping.
+
+Every clustering is built through one :class:`SegmentCache`, so the response
+tables the greedy reads are tabulated once per distinct segment context, not
+once per candidate clustering.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import InfeasibleError
-from .greedy import GreedyResult, greedy_assignment
+from .greedy import GreedyResult, _greedy_search, greedy_assignment
 from .mapping import Mapping, singleton_clustering
-from .response import MappingPerformance, build_module_chain
+from .response import MappingPerformance, SegmentCache
 from .task import TaskChain
 
 __all__ = ["HeuristicResult", "heuristic_mapping"]
@@ -44,16 +48,20 @@ class HeuristicResult:
         return self.performance.throughput
 
 
-def _score(chain, clustering, P, mem, replication) -> float:
-    """Throughput of a clustering under a quick greedy assignment, or -inf."""
-    mchain = build_module_chain(chain, clustering, mem)
+def _score(cache: SegmentCache, clustering, P, replication) -> float:
+    """Throughput of a clustering under a quick greedy assignment, or -inf
+    when its minimums do not fit.  A NaN response raises.
+
+    Read off the search's tabulated responses at its final totals, with
+    :func:`evaluate_module_chain`'s rule (a non-positive bottleneck is
+    ``inf``): the same float :func:`greedy_assignment` would report, without
+    evaluating the mapping.
+    """
+    mchain = cache.module_chain(clustering)
     if mchain.total_min_procs > P:
         return float("-inf")
-    try:
-        res = greedy_assignment(mchain, P, replication=replication)
-    except InfeasibleError:
-        return float("-inf")
-    return res.throughput
+    worst = max(_greedy_search(mchain, P, replication=replication).responses)
+    return 1.0 / worst if worst > 0 else float("inf")
 
 
 def _neighbours(clustering: tuple[tuple[int, int], ...]):
@@ -76,17 +84,32 @@ def heuristic_mapping(
     backtracking: bool = True,
     max_rounds: int = 64,
 ) -> HeuristicResult:
-    """Run the full §4 heuristic: clustering search + greedy assignment."""
+    """Run the full §4 heuristic: clustering search + greedy assignment.
+
+    Raises :class:`InfeasibleError` when neither starting clustering fits,
+    or when a response the greedy reads is NaN (naming the module).
+    """
     k = len(chain)
     P = int(total_procs)
+    cache = SegmentCache(chain, mem_per_proc_mb)
+    scores: dict[tuple, float] = {}
+
+    def score(clustering) -> float:
+        # The search revisits clusterings (a split can undo the last merge);
+        # a revisit scores the same, so it is looked up, though it still
+        # counts as examined.
+        if clustering not in scores:
+            scores[clustering] = _score(cache, clustering, P, replication)
+        return scores[clustering]
+
     current = singleton_clustering(k)
-    best_score = _score(chain, current, P, mem_per_proc_mb, replication)
+    best_score = score(current)
     examined = 1
     if best_score == float("-inf"):
         # The all-singleton clustering may violate memory minimums even when
         # merged clusterings fit; fall back to the coarsest clustering.
         current = ((0, k - 1),)
-        best_score = _score(chain, current, P, mem_per_proc_mb, replication)
+        best_score = score(current)
         examined += 1
         if best_score == float("-inf"):
             raise InfeasibleError(
@@ -100,14 +123,14 @@ def heuristic_mapping(
         best_nb, best_nb_score = None, best_score
         for nb in _neighbours(current):
             examined += 1
-            s = _score(chain, nb, P, mem_per_proc_mb, replication)
+            s = score(nb)
             if s > best_nb_score * (1 + 1e-12):
                 best_nb, best_nb_score = nb, s
         if best_nb is None:
             break
         current, best_score = best_nb, best_nb_score
 
-    mchain = build_module_chain(chain, current, mem_per_proc_mb)
+    mchain = cache.module_chain(current)
     final: GreedyResult = greedy_assignment(
         mchain, P, replication=replication, backtracking=backtracking
     )

@@ -13,7 +13,9 @@ on the 8×8 iWarp it differs from the unconstrained optimum for the
 ``optimal_feasible_mapping`` re-runs the clustering DP with instance sizes
 restricted to rectangular subarray sizes, then verifies packability and
 pathway limits, falling back to a bounded perturbation search when geometry
-alone rejects the allocation.
+alone rejects the allocation.  Given the unconstrained optimum of the same
+problem (as :func:`repro.tools.mapper.auto_map` has it), it skips that second
+DP whenever the answer is provably the optimum itself (:func:`_constrained_base`).
 """
 
 from __future__ import annotations
@@ -131,12 +133,72 @@ class FeasibleResult:
         return self.performance.throughput
 
 
+def _constrained_base(
+    chain: TaskChain,
+    machine: MachineSpec,
+    replication: bool,
+    method: str,
+    size_ok,
+    unconstrained: ClusteredResult | None,
+) -> ClusteredResult:
+    """The clustering DP's optimum under the machine's instance-size rule.
+
+    ``unconstrained`` is either None or the result of the same problem
+    without the rule: ``optimal_mapping(chain, machine.total_procs,
+    machine.mem_per_proc_mb, replication=replication, method=method)``.
+    It is returned as is, without a second solve, when that is what the
+    constrained solve would return:
+
+    * **No rule** (``size_ok is None``): the constrained call is the same
+      call with the same arguments.
+    * **The optimum meets the rule and came from the exhaustive path.**
+      The constrained DP differs only in setting the response cells of
+      disallowed totals to +inf; every allowed cell — including each cell on
+      the optimum's reconstruction path — keeps its float value.  Hence, per
+      clustering, every constrained DP value is >= the unconstrained one
+      (min and max are monotone), and along the optimum's path the values
+      are equal (the path is still available and costs the same).  At each
+      path state the unconstrained argmin ``q*`` is the *first* index
+      attaining the minimum: earlier indices are strictly larger there, and
+      only larger or equal in the constrained table, so the constrained
+      first-index argmin is ``q*`` again and the same totals come back.
+      Across clusterings the winner's throughput is unchanged while every
+      other clustering's can only fall; earlier ones were strictly worse, so
+      the strict-``>`` reduction keeps the same first winner, and
+      ``clusterings_examined`` does not depend on the rule.  (This relies on
+      the response tables holding the values ``evaluate_module_chain``
+      computes, which the greedy's differential tests check, and on the
+      default float64 workspace both solves use.)
+
+    Otherwise — the optimum breaks the rule (Table 1's 13-processor
+    FFT-Hist), or came from bisection, whose tolerance-certified search has
+    no such argument — the constrained DP runs, through the module-level
+    ``optimal_mapping`` name.
+    """
+    if unconstrained is not None and (
+        size_ok is None
+        or (unconstrained.method == "exhaustive"
+            and all(size_ok(m.procs) for m in unconstrained.mapping.modules))
+    ):
+        return unconstrained
+    return optimal_mapping(
+        chain,
+        machine.total_procs,
+        mem_per_proc_mb=machine.mem_per_proc_mb,
+        replication=replication,
+        method=method,
+        instance_size_ok=size_ok,
+    )
+
+
 def optimal_feasible_mapping(
     chain: TaskChain,
     machine: MachineSpec,
     replication: bool = True,
     method: str = "auto",
     max_candidates: int = 200,
+    *,
+    _unconstrained: ClusteredResult | None = None,
 ) -> FeasibleResult:
     """Best mapping satisfying the machine's geometric constraints.
 
@@ -144,17 +206,16 @@ def optimal_feasible_mapping(
     subarray sizes, verifies packing/pathways, and if geometry still rejects
     the allocation, searches bounded perturbations (shrinking instance sizes
     or replica counts) in predicted-throughput order.
+
+    ``_unconstrained`` is internal: the caller's unconstrained optimum of
+    the same problem, which replaces the constrained DP where it provably
+    gives the same result (see :func:`_constrained_base`).
     """
     size_ok = None
     if machine.require_rectangular:
         size_ok = lambda s: is_rectangularizable(s, machine.rows, machine.cols)
-    base: ClusteredResult = optimal_mapping(
-        chain,
-        machine.total_procs,
-        mem_per_proc_mb=machine.mem_per_proc_mb,
-        replication=replication,
-        method=method,
-        instance_size_ok=size_ok,
+    base = _constrained_base(
+        chain, machine, replication, method, size_ok, _unconstrained
     )
     report = check_feasible(base.mapping, machine)
     if report:

@@ -8,7 +8,9 @@
 3. **Map** — run both the optimal DP mapper (§3) and the greedy heuristic
    (§4) on the *fitted* chain and compare them (§6.3's key result is that
    they agree);
-4. **Constrain** — find the best machine-feasible mapping (§6.1);
+4. **Constrain** — find the best machine-feasible mapping (§6.1), starting
+   from step 3's optimum so the clustering DP runs again only when that
+   optimum breaks the machine's instance-size rule (or came from bisection);
 5. optionally **Validate** — run the chosen mapping on the "real" system
    and compare measured with predicted throughput (Table 2).
 """
@@ -86,7 +88,9 @@ def auto_map(
     heuristic = heuristic_mapping(
         fitted, machine.total_procs, machine.mem_per_proc_mb
     )
-    feasible = optimal_feasible_mapping(fitted, machine, method=method)
+    feasible = optimal_feasible_mapping(
+        fitted, machine, method=method, _unconstrained=optimal
+    )
     return MappingPlan(
         workload=workload,
         estimation=est,

@@ -1,10 +1,12 @@
 """Tests for the §4.2 heuristic mapper (clustering search + greedy)."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
     Edge,
     InfeasibleError,
+    LambdaUnary,
     PolynomialEComm,
     PolynomialExec,
     PolynomialIComm,
@@ -77,3 +79,23 @@ class TestHeuristicMechanics:
         heur = heuristic_mapping(chain, 6)
         assert heur.clustering == ((0, 0),)
         assert heur.throughput > 0
+
+
+class TestDegenerateCosts:
+    def test_nan_cost_raises_like_the_dp(self):
+        """The roadmap's probe: a 3-task chain whose middle task's cost is
+        NaN below 3 processors, on P = 12.  The DP raises InfeasibleError;
+        the greedy used to return a mapping with throughput inf.  It now
+        raises too, and names the module whose table holds the NaN."""
+        nan_below_3 = LambdaUnary(
+            lambda p: np.where(p < 3, np.nan, 6.0 / p), name="nan-below-3"
+        )
+        chain = TaskChain([
+            Task("a", PolynomialExec(0.1, 4.0, 0.0)),
+            Task("b", nan_below_3),
+            Task("c", PolynomialExec(0.1, 4.0, 0.0)),
+        ])
+        with pytest.raises(InfeasibleError):
+            optimal_mapping(chain, 12)
+        with pytest.raises(InfeasibleError, match=r"module \[1\.\.1\].*NaN"):
+            heuristic_mapping(chain, 12)

@@ -1,19 +1,29 @@
 """Tests for the greedy heuristic (paper §4.1, Theorems 1 & 2)."""
 
+import struct
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Edge,
     InfeasibleError,
     PolynomialEComm,
     PolynomialExec,
+    SegmentCache,
     Task,
     TaskChain,
+    all_clusterings,
     build_module_chain,
     greedy_assignment,
     optimal_assignment,
     singleton_clustering,
+    throughput_of_totals,
 )
+from repro.core.dp import _strip_replication
+from repro.machine import pvm_cluster8
+from repro.workloads import by_name
 from tests.conftest import make_random_chain
 
 
@@ -142,3 +152,162 @@ class TestBacktracking:
         assert plain.throughput < dp.throughput * (1 - 1e-9)
         back = greedy_assignment(mc, 8, backtracking=True)
         assert back.throughput == pytest.approx(dp.throughput, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Table-backed scoring == scalar cost calls
+# --------------------------------------------------------------------------
+
+
+def _scalar_greedy(mchain, P, replication=True, slowest_only=False,
+                   backtracking=False, initial_totals=None, max_rounds=64):
+    """Reference §4.1 greedy scoring every candidate with the scalar
+    :func:`throughput_of_totals`.  Returns ``(totals, best_tp, trajectory,
+    steps, moves)``."""
+    if not replication:
+        mchain = _strip_replication(mchain)
+    l = len(mchain)
+    minimums = [info.p_min for info in mchain.infos]
+    if initial_totals is None:
+        totals = list(minimums)
+    else:
+        totals = [max(m, int(t)) for m, t in zip(minimums, initial_totals)]
+        while sum(totals) > P:
+            _, eff = throughput_of_totals(mchain, totals)
+            cands = [i for i in range(l) if totals[i] > minimums[i]]
+            totals[min(cands, key=lambda i: eff[i])] -= 1
+    spare = P - sum(totals)
+    best_tp, _ = throughput_of_totals(mchain, totals)
+    best_totals, trajectory, steps = list(totals), [best_tp], 0
+    while spare > 0:
+        _, eff = throughput_of_totals(mchain, totals)
+        slow = max(range(l), key=lambda i: eff[i])
+        cands = [slow]
+        if not slowest_only:
+            cands += [c for c in (slow - 1, slow + 1) if 0 <= c < l]
+        best_c, best_c_tp = cands[0], -1.0
+        for c in cands:
+            totals[c] += 1
+            tp, _ = throughput_of_totals(mchain, totals)
+            totals[c] -= 1
+            if tp > best_c_tp:
+                best_c, best_c_tp = c, tp
+        totals[best_c] += 1
+        spare -= 1
+        steps += 1
+        if best_c_tp > best_tp:
+            best_tp, best_totals = best_c_tp, list(totals)
+        trajectory.append(best_tp)
+    totals, moves = best_totals, 0
+    if backtracking:
+        spare = P - sum(totals)
+        for _ in range(max_rounds):
+            improved = False
+            moves_list = []
+            for d in (1, 2):
+                for a in range(l):
+                    moves_list.append((a, None, d))
+                    moves_list += [(a, b, d) for b in range(l) if b != a]
+                moves_list += [(None, b, d) for b in range(l)]
+            for a, b, d in moves_list:
+                if a is not None and totals[a] - d < mchain.infos[a].p_min:
+                    continue
+                if a is None and spare < d:
+                    continue
+                if a is not None:
+                    totals[a] -= d
+                if b is not None:
+                    totals[b] += d
+                tp, _ = throughput_of_totals(mchain, totals)
+                if tp > best_tp * (1 + 1e-12):
+                    best_tp, spare, moves, improved = tp, P - sum(totals), moves + 1, True
+                    break
+                if a is not None:
+                    totals[a] += d
+                if b is not None:
+                    totals[b] -= d
+            if not improved:
+                break
+    return totals, best_tp, trajectory, steps, moves
+
+
+def _bits(xs):
+    return [struct.pack("<d", float(x)) for x in xs]
+
+
+def _assert_matches_scalar(mchain, P, **kw):
+    got = greedy_assignment(mchain, P, **kw)
+    totals, best_tp, trajectory, steps, moves = _scalar_greedy(mchain, P, **kw)
+    assert got.totals == totals
+    assert _bits(got.trajectory) == _bits(trajectory)
+    assert (got.steps, got.backtrack_moves) == (steps, moves)
+    # The reported throughput is the final totals re-scored analytically;
+    # it must also be the search's own best, bit for bit.
+    assert _bits([got.throughput]) == _bits([best_tp])
+
+
+@st.composite
+def greedy_cases(draw):
+    k = draw(st.integers(1, 5))
+    chain = make_random_chain(
+        k, seed=draw(st.integers(0, 10_000)),
+        with_memory=draw(st.booleans()),
+        comm_scale=draw(st.sampled_from([0.5, 1.0, 5.0])),
+    )
+    mem = draw(st.sampled_from([float("inf"), 1.0, 2.0]))
+    clustering = draw(st.sampled_from(list(all_clusterings(k))))
+    mchain = build_module_chain(chain, clustering, mem)
+    P = draw(st.integers(mchain.total_min_procs, mchain.total_min_procs + 24))
+    kw = dict(
+        replication=draw(st.booleans()),
+        slowest_only=draw(st.booleans()),
+        backtracking=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        # Warm starts, often summing past P so the shedding loop runs.
+        kw["initial_totals"] = [draw(st.integers(0, P)) for _ in range(len(mchain))]
+    return mchain, P, kw
+
+
+class TestTableScoring:
+    """The greedy reads tabulated response factors; its trajectory, totals,
+    throughput bits and local-search moves equal scalar-cost scoring's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=greedy_cases())
+    def test_differential_against_scalar_scoring(self, case):
+        mchain, P, kw = case
+        _assert_matches_scalar(mchain, P, **kw)
+
+    def test_cached_chain_matches_uncached(self):
+        chain = make_random_chain(4, seed=11, with_memory=True)
+        cache = SegmentCache(chain, 1.0)
+        for clustering in all_clusterings(4):
+            cached = greedy_assignment(cache.module_chain(clustering), 20, backtracking=True)
+            plain = greedy_assignment(
+                build_module_chain(chain, clustering, 1.0), 20, backtracking=True
+            )
+            assert cached.totals == plain.totals
+            assert _bits(cached.trajectory) == _bits(plain.trajectory)
+
+    def test_warm_start_above_machine_sheds_with_scalar_scoring(self):
+        """Warm-start totals beyond P index past the tables; the shedding
+        loop keeps scalar scoring and the search then reads the tables."""
+        mchain = _mchain(make_random_chain(3, seed=4))
+        _assert_matches_scalar(mchain, 10, initial_totals=[9, 9, 9], backtracking=True)
+
+    @pytest.mark.parametrize("program", ["fft-hist-256", "radar", "stereo", "airshed", "sar"])
+    def test_paper_true_chains(self, program):
+        """The workloads' true cost models (lambda terms beyond the fitted
+        polynomials) tabulate to the same values as scalar calls."""
+        work = by_name(program, pvm_cluster8())
+        for clustering in list(all_clusterings(len(work.chain)))[:4]:
+            mchain = build_module_chain(work.chain, clustering, work.machine.mem_per_proc_mb)
+            if mchain.total_min_procs <= 8:
+                _assert_matches_scalar(mchain, 8, backtracking=True)
+
+    def test_nan_response_raises_naming_module(self):
+        nan_exec = PolynomialExec(np.nan, 1.0, 0.0)
+        tasks = [Task("a", PolynomialExec(0.0, 4.0, 0.0)), Task("b", nan_exec)]
+        with pytest.raises(InfeasibleError, match=r"module \[1\.\.1\].*NaN"):
+            greedy_assignment(_mchain(TaskChain(tasks)), 6)

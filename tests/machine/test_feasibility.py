@@ -1,18 +1,25 @@
 """Tests for machine-constrained mappings (§6.1, Table 1 behaviour)."""
 
-import pytest
+import struct
 
-from repro.core import Mapping, ModuleSpec, optimal_mapping
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import InfeasibleError, Mapping, ModuleSpec, optimal_mapping
 from repro.machine import (
     PRESETS,
     CommParams,
     MachineSpec,
     by_name,
     check_feasible,
+    feasibility,
+    is_rectangularizable,
     iwarp64_message,
     iwarp64_systolic,
     optimal_feasible_mapping,
+    sp2_16,
 )
+from repro.workloads import fft_hist
 from tests.conftest import make_random_chain
 
 
@@ -94,3 +101,129 @@ class TestOptimalFeasible:
         feas = optimal_feasible_mapping(chain, mach)
         report = check_feasible(feas.mapping, mach)
         assert report.feasible
+
+
+# --------------------------------------------------------------------------
+# Reusing the unconstrained optimum instead of a second clustering DP
+# --------------------------------------------------------------------------
+
+GRID4 = MachineSpec(
+    "grid4x4", 4, 4, 2.0, CommParams(4.0e-4, 1.0e-1, 3.0e-5, 1.0),
+    require_rectangular=True,
+)
+
+
+def _bits(x):
+    return struct.pack("<d", float(x))
+
+
+def _clustered_key(res):
+    perf = res.performance
+    return (
+        res.clustering, res.totals, perf.mapping, res.method,
+        res.clusterings_examined, _bits(perf.throughput), _bits(perf.latency),
+        [_bits(t) for t in perf.effective_responses],
+    )
+
+
+def _feasible_key(res):
+    perf = res.performance
+    return (
+        perf.mapping, _bits(perf.throughput), _bits(perf.latency),
+        [_bits(t) for t in perf.responses], res.adjusted, res.candidates_tried,
+    )
+
+
+@pytest.fixture
+def dp_calls(monkeypatch):
+    """Count the constrained solves the feasibility step makes."""
+    calls = []
+    original = feasibility.optimal_mapping
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("instance_size_ok"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility, "optimal_mapping", counting)
+    return calls
+
+
+class TestReuseUnconstrained:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+        with_memory=st.booleans(),
+        comm_scale=st.sampled_from([0.2, 1.0, 5.0]),
+    )
+    def test_reuse_is_byte_identical_to_the_constrained_solve(
+        self, k, seed, with_memory, comm_scale
+    ):
+        """On a 4x4 grid, handing the unconstrained optimum to the
+        feasibility step gives exactly what forcing the constrained DP
+        gives: the same base (clustering, totals, mapping, throughput bits,
+        clusterings examined) and the same feasible result."""
+        chain = make_random_chain(
+            k, seed=seed, with_memory=with_memory, comm_scale=comm_scale
+        )
+        P, mem = GRID4.total_procs, GRID4.mem_per_proc_mb
+        try:
+            opt = optimal_mapping(chain, P, mem)
+        except InfeasibleError:
+            return
+        size_ok = lambda s: is_rectangularizable(s, GRID4.rows, GRID4.cols)
+        forced = optimal_mapping(chain, P, mem, instance_size_ok=size_ok)
+        reused = feasibility._constrained_base(chain, GRID4, True, "auto", size_ok, opt)
+        assert _clustered_key(reused) == _clustered_key(forced)
+
+        def outcome(**kw):
+            try:
+                return _feasible_key(optimal_feasible_mapping(chain, GRID4, **kw))
+            except InfeasibleError as exc:  # no packable variant: same error
+                return str(exc)
+
+        assert outcome(_unconstrained=opt) == outcome()
+
+    def test_rectangular_optimum_skips_the_second_solve(self, dp_calls):
+        hits = 0
+        for seed in range(12):
+            chain = make_random_chain(4, seed=seed)
+            opt = optimal_mapping(chain, GRID4.total_procs, GRID4.mem_per_proc_mb)
+            before = len(dp_calls)
+            feas = optimal_feasible_mapping(chain, GRID4, _unconstrained=opt)
+            rect = all(is_rectangularizable(m.procs, 4, 4) for m in opt.mapping.modules)
+            assert len(dp_calls) - before == (0 if rect else 1)
+            if rect:
+                hits += 1
+                assert feas.performance is opt.performance
+        assert 0 < hits < 12  # both branches are exercised
+
+    def test_machine_without_a_rule_reuses_as_is(self, dp_calls):
+        chain = make_random_chain(5, seed=3)
+        mach = sp2_16()
+        for method in ("exhaustive", "bisect"):
+            opt = optimal_mapping(chain, mach.total_procs, mach.mem_per_proc_mb, method=method)
+            feas = optimal_feasible_mapping(chain, mach, method=method, _unconstrained=opt)
+            assert feas.performance is opt.performance
+        assert dp_calls == []
+
+    def test_bisect_optimum_still_solves_under_the_rule(self, dp_calls):
+        """Bisection has no first-index argmin argument: re-solve."""
+        chain = make_random_chain(3, seed=1)
+        opt = optimal_mapping(chain, 16, GRID4.mem_per_proc_mb, method="bisect")
+        optimal_feasible_mapping(chain, GRID4, method="bisect", _unconstrained=opt)
+        assert len(dp_calls) == 1 and dp_calls[0] is not None
+
+    def test_fft_hist_512_systolic_still_constrains_the_13(self, dp_calls):
+        """Table 1: the unconstrained optimum gives a module 13-processor
+        instances, which no rectangle on the 8x8 grid holds, so the
+        constrained DP runs and the deployed mapping avoids 13."""
+        wl = fft_hist(512, iwarp64_systolic())
+        mach = wl.machine
+        opt = optimal_mapping(wl.chain, mach.total_procs, mach.mem_per_proc_mb)
+        assert 13 in [m.procs for m in opt.mapping.modules]
+        feas = optimal_feasible_mapping(wl.chain, mach, _unconstrained=opt)
+        assert len(dp_calls) == 1
+        assert 13 not in [m.procs for m in feas.mapping.modules]
+        assert check_feasible(feas.mapping, mach).feasible
+        assert _feasible_key(feas) == _feasible_key(optimal_feasible_mapping(wl.chain, mach))

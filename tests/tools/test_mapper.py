@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.machine import check_feasible, iwarp64_message
+from repro.machine import (
+    check_feasible,
+    feasibility,
+    iwarp64_message,
+    iwarp64_systolic,
+    optimal_feasible_mapping,
+    presets,
+)
 from repro.sim import NoiseModel
-from repro.tools import auto_map, measure
-from repro.workloads import fft_hist
+from repro.tools import auto_map, mapper, measure
+from repro.workloads import by_name, fft_hist
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +58,51 @@ class TestAutoMap:
     def test_chooses_paper_clustering(self, plan):
         _, p = plan
         assert p.optimal.clustering == ((0, 0), (1, 2))
+
+
+@pytest.fixture
+def dp_calls(monkeypatch):
+    """Count clustering-DP solves through both bindings a request uses."""
+    calls = []
+    for module in (mapper, feasibility):
+        original = module.optimal_mapping
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(kwargs.get("instance_size_ok"))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "optimal_mapping", counting)
+    return calls
+
+
+class TestOneSolvePerRequest:
+    @pytest.mark.parametrize("program", ["fft-hist-256", "radar", "stereo"])
+    @pytest.mark.parametrize("machine", ["sp2-16", "pvm-cluster8"])
+    def test_machine_without_a_rule_solves_once(self, dp_calls, program, machine):
+        plan = auto_map(by_name(program, presets.by_name(machine)))
+        assert len(dp_calls) == 1
+        assert plan.feasible.performance is plan.optimal.performance
+
+    @pytest.mark.parametrize("program, machine", [
+        ("stereo", "iwarp64-message"),
+        ("sar", "iwarp64-systolic"),
+        ("sar", "paragon128"),
+    ])
+    def test_rectangular_optimum_solves_once(self, dp_calls, program, machine):
+        plan = auto_map(by_name(program, presets.by_name(machine)))
+        assert len(dp_calls) == 1
+        assert plan.mapping == plan.optimal.mapping
+        assert check_feasible(plan.mapping, plan.workload.machine).feasible
+
+    def test_fft_hist_512_systolic_still_runs_the_constrained_solve(self, dp_calls):
+        """Table 1's case: the optimum's 13-processor instances fit no
+        rectangle on the 8x8 grid, so the constrained DP runs and the tool
+        deploys the same mapping a forced constrained solve gives."""
+        wl = fft_hist(512, iwarp64_systolic())
+        plan = auto_map(wl)
+        assert len(dp_calls) == 2 and dp_calls[1] is not None
+        assert 13 in [m.procs for m in plan.optimal.mapping.modules]
+        assert 13 not in [m.procs for m in plan.mapping.modules]
+        forced = optimal_feasible_mapping(plan.estimation.fitted_chain, wl.machine)
+        assert plan.mapping == forced.mapping
+        assert plan.predicted_throughput == forced.throughput
