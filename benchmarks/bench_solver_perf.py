@@ -4,8 +4,11 @@
 Times the assignment DP, the clustered DP (exhaustive and bisect) and the
 greedy heuristic across a ``(k, P)`` grid, records wall time and peak DP
 table bytes, and **asserts the optimized solvers return byte-identical
-mappings** to a verbatim copy of the seed solver embedded below.  Results
-are written to ``BENCH_solver.json`` at the repo root.
+mappings** to a verbatim copy of the seed solver embedded below.  It also
+counts the ``max``/``argmin`` elements the assignment DP's transitions
+evaluate at k=5, P=64 (``DPResult.cells``, deterministic) and asserts they
+are at most a third of the full ``pl <= pt`` half-cube's.  Results are
+written to ``BENCH_solver.json`` at the repo root.
 
 Run standalone (not collected by pytest)::
 
@@ -228,6 +231,27 @@ def bench_p256(budget_mb=768.0):
     }
 
 
+def transition_cells(k=5, P=64):
+    """Transition elements of one assignment DP against the half-cube's.
+
+    The half-cube reduction evaluates every ``q`` and ``pn`` for every
+    ``pl <= pt``: ``(P+1)^2 * (P+1)(P+2)/2`` elements per middle stage,
+    plus the ``(P+1)^2`` final plane both evaluate.
+    """
+    chain = random_chain(k, seed=k * 101 + P)
+    mchain = build_module_chain(chain, singleton_clustering(k))
+    res = optimal_assignment(mchain, P, workspace=SolverWorkspace())
+    N = P + 1
+    half_cube = (k - 2) * N * N * N * (N + 1) // 2 + N * N
+    return {
+        "k": k,
+        "P": P,
+        "cells": res.cells,
+        "half_cube_cells": half_cube,
+        "ratio": res.cells / half_cube,
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
@@ -270,6 +294,17 @@ def main(argv=None):
         report["k5_P64_meets_5x_target"] = sp >= 5.0
         print(f"\nexhaustive k=5 P=64 speedup: {sp:.1f}x (target >= 5.0x)")
         assert sp >= 5.0, f"speedup {sp:.2f}x below the 5x acceptance bar"
+
+    cells = transition_cells()
+    report["transition_cells"] = cells
+    print(
+        f"\ntransition elements k={cells['k']} P={cells['P']}: "
+        f"{cells['cells']} vs half-cube {cells['half_cube_cells']} "
+        f"(ratio {cells['ratio']:.3f}, bar <= 1/3)"
+    )
+    assert cells["ratio"] <= 1 / 3, (
+        f"transition evaluates {cells['ratio']:.3f} of the half-cube (> 1/3)"
+    )
 
     if not args.quick:
         print("\nP=256 bounded-memory solve ...")

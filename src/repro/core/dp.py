@@ -30,8 +30,15 @@ Performance layer (bit-identical to the straightforward evaluation):
   arena instead of being re-allocated per stage and per clustering;
 * tensors are laid out with the reduction axis ``q`` last, so the
   ``max``/``argmin`` runs over contiguous memory;
-* the transition block skips ``pl > pt`` cells (provably +inf — a module
-  cannot exceed the budget of its prefix), halving the work;
+* the transition computes only the cells a later step can read
+  (``pl <= pt``, ``pt + pn <= P``) and reduces only over the ``q`` that can
+  be finite (``q <= pt - pl``), in cache-sized blocks of the workspace's
+  scratch — under a fifth of the full ``pl <= pt`` half-cube at ``P = 64``
+  (the identity argument is in :func:`_transition`); ``DPResult.cells``
+  counts the ``max``/``argmin`` elements a solve evaluated;
+* a response table holding NaN is rejected before any transition, with an
+  :class:`InfeasibleError` naming the module (the full reduction would end
+  on a NaN value);
 * the last stage materialises only the ``pt = P, pn = 0`` plane the
   reconstruction can ever read, turning one full ``O(P^4)`` stage per
   solve into an ``O(P^2)`` one;
@@ -63,11 +70,6 @@ from .workspace import SolverWorkspace, argmin_dtype, default_workspace
 
 __all__ = ["DPResult", "optimal_assignment"]
 
-#: How many p_next planes the *reference* transition processes per chunk
-#: (kept for the sibling DPs in latency.py that still use this layout).
-_PN_CHUNK = 8
-
-
 @dataclass
 class DPResult:
     """Outcome of the dynamic-programming assignment."""
@@ -77,6 +79,7 @@ class DPResult:
     bottleneck_response: float        # the DP objective value
     stages: int                       # number of modules
     table_size: int                   # entries per DP table (diagnostics)
+    cells: int                        # max/argmin elements evaluated
 
     @property
     def mapping(self) -> Mapping:
@@ -122,7 +125,34 @@ def _assemble_final_plane(mchain, j, P, dtype, mask):
     return plane.astype(dtype, copy=False)
 
 
-def _first_stage(mchain, P, V, mask):
+def _reject_nan(mchain, j, table, axes, ws):
+    """Raise :class:`InfeasibleError` naming module ``j`` if its response
+    ``table`` (axes named from ``"pl"``, ``"pn"``, ``"q"``) holds a NaN.
+
+    ``max`` and first-index ``argmin`` carry a NaN into every state that
+    reads it, and the zero-processor states of the later modules carry it
+    to the final plane, so the full half-cube reduction would end on a NaN
+    value and raise anyway (always, for costs that are never -inf and
+    without an ``allowed_totals`` mask).
+    The error names the culprit instead, and no transition ever sees a
+    NaN.  The error's ``nan_module`` attribute holds the
+    module's ``(start, stop)`` task span.
+    """
+    if not np.isnan(table.min()):
+        return
+    ws.release()
+    at = dict(zip(axes, (int(i) for i in np.argwhere(np.isnan(table))[0])))
+    info = mchain.infos[j]
+    err = InfeasibleError(
+        f"module [{info.start}..{info.stop}] has a NaN response at "
+        f"{at['pl']} processors (neighbours {at.get('q', 0)}, "
+        f"{at.get('pn', 0)}): its cost model is not finite there"
+    )
+    err.nan_module = (info.start, info.stop)
+    raise err
+
+
+def _first_stage(mchain, P, V, mask, ws):
     """V_0[pt, pl, pn] = resp_0(φ, pl, pn), +inf where pl exceeds pt."""
     ce, com_out, denom, feasible = mchain.response_parts(0, P)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -130,6 +160,7 @@ def _first_stage(mchain, P, V, mask):
     base[~feasible] = np.inf
     if mask is not None:
         base[~mask] = np.inf
+    _reject_nan(mchain, 0, base, ("pl", "pn"), ws)
     np.copyto(V, base[None, :, :])
     over_budget = np.arange(P + 1)[:, None] < np.arange(P + 1)[None, :]
     V[over_budget] = np.inf
@@ -146,6 +177,70 @@ def _shift_into(V_prev, W2, P):
         dst[pl:] = V_prev[: N - pl, :, pl]
         if pl:
             dst[:pl] = np.inf
+
+
+def _transition(W2, R2, V_next, Q, t_flat, idx_flat) -> int:
+    """One middle stage: ``V_next``/``Q`` on every cell a later step reads.
+
+    ``V_next[pt, pl, pn] = min_q max(W2[pt, pl, q], R2[pl, pn, q])`` with
+    ``Q`` its first-index argmin, evaluated in blocks of rows ``[lo, hi)``
+    and p_last values ``[bl, bh)`` (``bh <= hi``), each reducing only over
+    ``q < hi - bl`` and writing only ``pn < N - lo``.  ``V_next`` must hold
+    +inf and ``Q`` zeros on entry; cells outside the blocks keep them.
+    Returns the number of ``max``/``argmin`` elements evaluated.
+
+    Identical to reducing every ``q`` for every cell, on every cell that is
+    ever read, provided ``W2`` and ``R2`` hold no NaN (the solver rejects a
+    response table holding NaN before it reaches a transition):
+
+    * *Only cells with* ``pl <= pt`` *and* ``pt + pn <= P`` *are read.*  The
+      next stage reads ``V[a, q, b]`` as ``W[a + b, b, q]``, at a total
+      ``a + b <= P``; the final plane reads ``V[P - pl, :, pl]``; the
+      reconstruction walks a path whose totals sum to at most ``P``.  A row
+      ``pt >= lo`` has ``pn <= P - lo``, so every read cell is written.
+    * *Every skipped* ``q`` *has* ``W = +inf``: ``W2[pt, pl, q]`` is
+      ``V_prev[pt - pl, q, pl]``, +inf when ``q > pt - pl`` (module ``j-1``
+      cannot hold more than its prefix's total), and ``pt - pl < hi - bl``.
+      ``max(+inf, x) = +inf`` for non-NaN ``x``, so a skipped ``q`` is
+      neither a strict minimum nor an earlier first-index minimum; a row
+      that is +inf throughout still gives argmin 0.  Cells with
+      ``pl > pt`` that a block does write get +inf, as if left alone.
+    * ``max`` and ``min`` are exact, so ``V``, ``Q``, the totals and the
+      throughput bits are those of the full reduction.
+
+    Blocks hold at most ``t_flat.size`` elements: rows are grouped while a
+    whole chunk (every ``pl < hi``) fits, and a single row that does not
+    fit is split into p_last blocks.  At small ``P`` a stage is one block.
+    """
+    N = W2.shape[0]
+    budget = t_flat.size
+    cells = 0
+    lo = 0
+    while lo < N:
+        npn = N - lo
+        n = 1
+        while lo + n < N and (n + 1) * (lo + n + 1) ** 2 * npn <= budget:
+            n += 1
+        hi = lo + n
+        bl = 0
+        while bl < hi:
+            nq = hi - bl
+            bh = min(hi, bl + max(1, budget // (n * npn * nq)))
+            size = n * (bh - bl) * npn * nq
+            T = t_flat[:size].reshape(n, bh - bl, npn, nq)
+            np.maximum(
+                W2[lo:hi, bl:bh, None, :nq], R2[None, bl:bh, :npn, :nq], out=T
+            )
+            idx = idx_flat[: size // nq].reshape(n, bh - bl, npn)
+            np.argmin(T, axis=-1, out=idx)
+            Q[lo:hi, bl:bh, :npn] = idx
+            V_next[lo:hi, bl:bh, :npn] = np.take_along_axis(
+                T, idx[..., None], axis=-1
+            )[..., 0]
+            cells += size
+            bl = bh
+        lo = hi
+    return cells
 
 
 def optimal_assignment(
@@ -204,58 +299,37 @@ def optimal_assignment(
         return np.asarray(allowed_totals(j), dtype=bool)
 
     V_prev, V_next = ar.V0, ar.V1
-    _first_stage(mchain, P, V_prev, mask_for(0))
+    _first_stage(mchain, P, V_prev, mask_for(0), ws)
 
     # None for stage 0; (P+1)^3 tables for middle stages; a 1-D plane row
     # (indexed by pl at the fixed pt=P, pn=0 state) for the last stage.
     argmin_tables: list[np.ndarray | None] = [None]
     final: np.ndarray | None = None
+    cells = 0  # max/argmin elements evaluated by the transitions
 
     for j in range(1, l):
         if j == l - 1:
             # Reconstruction only ever reads V_{l-1}[P, pl, 0], so the last
             # stage computes just that plane: O(P^2) instead of O(P^4).
             Rf = _assemble_final_plane(mchain, j, P, ar.R2.dtype, mask_for(j))
+            _reject_nan(mchain, j, Rf, ("pl", "q"), ws)
             W2f = np.empty_like(Rf)  # (pl, q)
             for pl in range(N):
                 W2f[pl] = V_prev[P - pl, :, pl]
             T = np.maximum(W2f, Rf)
+            cells += T.size
             qbest = np.argmin(T, axis=-1)
             final = np.take_along_axis(T, qbest[:, None], axis=-1)[:, 0]
             argmin_tables.append(qbest.astype(q_dtype))
             break
 
         _assemble_r2(mchain, j, P, ar.R2, mask_for(j))
+        _reject_nan(mchain, j, ar.R2, ("pl", "pn", "q"), ws)
         _shift_into(V_prev, ar.W2, P)
         V_next.fill(np.inf)
         Q = np.zeros((N, N, N), dtype=q_dtype)
         ws.track(Q.nbytes)
-
-        cells = ar.block_cells  # (pt, pl) cells per scratch block
-        tile = N * N            # one (pn, q) tile
-        lo = 0
-        while lo < N:
-            # Grow the pt-chunk while the (triangle-limited) block fits.
-            n = 1
-            while lo + n < N and (n + 1) * min(lo + n + 1, N) <= cells:
-                n += 1
-            hi = lo + n
-            m = min(hi, N)  # pl < hi can be feasible for pt < hi
-            b = max(1, cells // n)  # pl-block when one chunk row overflows
-            for bl in range(0, m, b):
-                bh = min(bl + b, m)
-                nb = bh - bl
-                T = ar.t_flat[: n * nb * tile].reshape(n, nb, N, N)
-                np.maximum(
-                    ar.W2[lo:hi, bl:bh, None, :], ar.R2[None, bl:bh], out=T
-                )
-                idx = ar.idx_flat[: n * nb * N].reshape(n, nb, N)
-                np.argmin(T, axis=-1, out=idx)
-                Q[lo:hi, bl:bh] = idx
-                V_next[lo:hi, bl:bh] = np.take_along_axis(
-                    T, idx[..., None], axis=-1
-                )[..., 0]
-            lo = hi
+        cells += _transition(ar.W2, ar.R2, V_next, Q, ar.t_flat, ar.idx_flat)
         argmin_tables.append(Q)
         V_prev, V_next = V_next, V_prev
 
@@ -295,4 +369,5 @@ def optimal_assignment(
         bottleneck_response=best_val,
         stages=l,
         table_size=size,
+        cells=cells,
     )

@@ -100,6 +100,11 @@ def optimal_mapping(
     :class:`~repro.core.remap.RemapPlanner` re-solving on ever-smaller
     machines — share segment tensors and DP arenas across solves.  Both
     apply to the serial exhaustive path; a mismatched cache is ignored.
+
+    Raises :class:`InfeasibleError` when no clustering has a feasible
+    assignment.  When the exhaustive path skipped clusterings because a
+    module's responses hold NaN, the message names the narrowest such
+    module rather than blaming the machine size.
     """
     if method == "auto":
         method = "exhaustive" if len(chain) <= 12 else "bisect"
@@ -142,13 +147,14 @@ def _totals_filter(mchain, total_procs: int, replication: bool, instance_size_ok
 def _solve_one_clustering(args):
     """Solve the assignment DP for one clustering (worker entry point).
 
-    Returns ``(examined, result_or_None)`` so the reducer can reproduce the
-    serial bookkeeping exactly.  Must stay module-level for pickling.
+    Returns ``(examined, result_or_None, error_or_None)`` so the reducer can
+    reproduce the serial bookkeeping exactly.  Must stay module-level for
+    pickling.
     """
     chain, clustering, total_procs, mem_per_proc_mb, replication, size_ok = args
     mchain = build_module_chain(chain, clustering, mem_per_proc_mb)
     if mchain.total_min_procs > total_procs:
-        return (False, None)
+        return (False, None, None)
     try:
         res = optimal_assignment(
             mchain,
@@ -158,9 +164,9 @@ def _solve_one_clustering(args):
                 mchain, total_procs, replication, size_ok
             ),
         )
-    except InfeasibleError:
-        return (True, None)
-    return (True, res)
+    except InfeasibleError as err:
+        return (True, None, err)
+    return (True, res, None)
 
 
 def _fan_out(chain, clusterings, total_procs, mem_per_proc_mb, replication,
@@ -206,7 +212,7 @@ def _exhaustive_clusterings(
         for clustering in clusterings:
             mchain = cache.module_chain(clustering)
             if mchain.total_min_procs > total_procs:
-                outcomes.append((False, None))
+                outcomes.append((False, None, None))
                 continue
             try:
                 res = optimal_assignment(
@@ -218,23 +224,37 @@ def _exhaustive_clusterings(
                     ),
                     workspace=workspace,
                 )
-            except InfeasibleError:
-                outcomes.append((True, None))
+            except InfeasibleError as err:
+                outcomes.append((True, None, err))
                 continue
-            outcomes.append((True, res))
+            outcomes.append((True, res, None))
 
     # Deterministic reduction in enumeration order: identical to the seed's
     # serial loop (strict > keeps the first clustering on ties).
     best: DPResult | None = None
     best_clustering = None
     examined = 0
-    for clustering, (counted, res) in zip(clusterings, outcomes):
+    culprit = None  # error naming the narrowest module with a NaN response
+
+    def width(e):
+        return e.nan_module[1] - e.nan_module[0]
+
+    for clustering, (counted, res, err) in zip(clusterings, outcomes):
         examined += int(counted)
         if res is None:
+            if hasattr(err, "nan_module") and (
+                culprit is None or width(err) < width(culprit)
+            ):
+                culprit = err
             continue
         if best is None or res.throughput > best.throughput:
             best, best_clustering = res, clustering
     if best is None:
+        if culprit is not None:
+            raise InfeasibleError(
+                f"no clustering of {chain.name!r} has finite responses on "
+                f"{total_procs} processors: {culprit}"
+            )
         raise InfeasibleError(
             f"no clustering of {chain.name!r} fits on {total_procs} processors"
         )

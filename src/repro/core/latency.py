@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import _PN_CHUNK, _strip_replication
+from .dp import _strip_replication
 from .exceptions import InfeasibleError
 from .mapping import Mapping
 from .response import (
@@ -37,6 +37,9 @@ __all__ = [
     "optimal_latency_assignment",
     "throughput_latency_frontier",
 ]
+
+#: How many p_next planes the latency transition processes per chunk.
+_PN_CHUNK = 8
 
 
 @dataclass

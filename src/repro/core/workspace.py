@@ -20,10 +20,15 @@ two memory/precision knobs of the solver stack:
 
 ``memory_budget_mb``
     Caps the bytes the workspace may hold.  The transition scratch block is
-    shrunk (down to a single ``(P+1)^2`` tile) to fit; the budget must at
-    least cover the four resident ``(P+1)^3`` value tensors, otherwise
+    shrunk (down to the largest single ``(pt, pl)`` cell, see
+    :func:`min_block_elements`) to fit; the budget must at least cover the
+    four resident ``(P+1)^3`` value tensors plus that cell, otherwise
     :class:`~repro.core.exceptions.InfeasibleError` is raised up front
     rather than thrashing.
+
+The transition scratch itself is small: :data:`BLOCK_ELEMENTS` elements
+(fewer under a tight budget), one ``max``/``argmin`` block of the
+transition, reused block after block.
 
 Argmin tables are stored in the smallest integer dtype that can index
 ``0..P`` (``uint8`` up to ``P = 255``), a 4x saving over the seed's
@@ -44,15 +49,24 @@ __all__ = [
     "SolverWorkspace",
     "default_workspace",
     "argmin_dtype",
+    "min_block_elements",
 ]
 
-#: Default cap on the transition scratch block ("T"), in MiB.  Four
-#: pt-planes at P=64 (the tuned sweet spot) is far below this; the cap only
-#: bites at large P where a full plane is itself hundreds of MiB.
-DEFAULT_SCRATCH_MB = 256.0
+#: Elements of one transition ``max``/``argmin`` block ("T").  2^16 float64
+#: values are 512 KiB, small enough to stay cache-resident; a whole stage at
+#: P <= 15 is one block.
+BLOCK_ELEMENTS = 2**16
 
-#: Preferred number of pt-planes per transition chunk when memory allows.
-PREFERRED_PLANES = 4
+
+def min_block_elements(max_procs: int) -> int:
+    """Elements of the largest single-cell block of the transition.
+
+    The cell ``(pt, pl=0)`` reduces over ``q <= pt`` for every
+    ``pn <= P - pt``: ``(pt + 1) * (P + 1 - pt)`` elements, largest at
+    ``pt = P // 2``.  The scratch block can never be smaller than this.
+    """
+    pt = max_procs // 2
+    return (pt + 1) * (max_procs + 1 - pt)
 
 
 def argmin_dtype(max_procs: int) -> np.dtype:
@@ -67,25 +81,20 @@ def argmin_dtype(max_procs: int) -> np.dtype:
 class _Arena:
     """The per-``P`` buffer set.  All shapes use ``N = P + 1``."""
 
-    def __init__(self, P: int, value_dtype: np.dtype, scratch_bytes: int):
+    def __init__(self, P: int, value_dtype: np.dtype, block_elements: int):
         N = P + 1
         self.P = P
         self.value_dtype = value_dtype
-        itemsize = value_dtype.itemsize
         # Ping-pong value tables, shifted-view W (pt, pl, q), response R2
         # (pl, pn, q) — the q axis last so the reduction is contiguous.
         self.V0 = np.empty((N, N, N), dtype=value_dtype)
         self.V1 = np.empty((N, N, N), dtype=value_dtype)
         self.W2 = np.empty((N, N, N), dtype=value_dtype)
         self.R2 = np.empty((N, N, N), dtype=value_dtype)
-        # Scratch for the max/argmin block, sized by the budget; at least
-        # one (pl-row, pn, q) tile.
-        tile = N * N
-        cells = max(1, scratch_bytes // (tile * itemsize))
-        cells = min(cells, N * N)  # never more than the full table
-        self.t_flat = np.empty(cells * tile, dtype=value_dtype)
-        self.idx_flat = np.empty(cells * N, dtype=np.intp)
-        self.block_cells = cells  # (pt, pl) cells per scratch block
+        # Scratch for one max/argmin block and its argmin indices (a block
+        # has at most as many index cells as value elements).
+        self.t_flat = np.empty(block_elements, dtype=value_dtype)
+        self.idx_flat = np.empty(block_elements, dtype=np.intp)
 
     @property
     def nbytes(self) -> int:
@@ -112,23 +121,23 @@ class SolverWorkspace:
         self.peak_table_bytes = 0
 
     # -- memory policy ----------------------------------------------------
-    def _scratch_bytes(self, P: int) -> int:
+    def _block_elements(self, P: int) -> int:
         N = P + 1
-        itemsize = self.value_dtype.itemsize
-        preferred = PREFERRED_PLANES * N * N * N * itemsize
-        cap = int(DEFAULT_SCRATCH_MB * 2**20)
+        least = min_block_elements(P)
+        most = max(least, min(BLOCK_ELEMENTS, N**4))  # never above one stage
         if self.memory_budget_mb is None:
-            return min(preferred, cap)
+            return most
+        itemsize = self.value_dtype.itemsize
+        per_element = itemsize + np.dtype(np.intp).itemsize  # t_flat + idx_flat
         budget = int(self.memory_budget_mb * 2**20)
         resident = 4 * N * N * N * itemsize  # V0, V1, W2, R2
-        min_scratch = N * N * itemsize + N * np.dtype(np.intp).itemsize
-        if budget < resident + min_scratch:
-            need_mb = (resident + min_scratch) / 2**20
+        if budget < resident + least * per_element:
+            need_mb = (resident + least * per_element) / 2**20
             raise InfeasibleError(
                 f"memory budget {self.memory_budget_mb:.0f} MB cannot hold the "
                 f"DP tables at P={P}; need at least {need_mb:.0f} MB"
             )
-        return min(preferred, budget - resident)
+        return min(most, (budget - resident) // per_element)
 
     # -- arena management -------------------------------------------------
     def arena(self, P: int) -> _Arena:
@@ -136,7 +145,7 @@ class SolverWorkspace:
         ar = self._arena
         if ar is None or ar.P != P or ar.value_dtype != self.value_dtype:
             self._arena = None  # release before allocating the replacement
-            ar = _Arena(P, self.value_dtype, self._scratch_bytes(P))
+            ar = _Arena(P, self.value_dtype, self._block_elements(P))
             self._arena = ar
             self._note()
         return ar

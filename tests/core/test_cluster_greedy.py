@@ -84,9 +84,11 @@ class TestHeuristicMechanics:
 class TestDegenerateCosts:
     def test_nan_cost_raises_like_the_dp(self):
         """The roadmap's probe: a 3-task chain whose middle task's cost is
-        NaN below 3 processors, on P = 12.  The DP raises InfeasibleError;
-        the greedy used to return a mapping with throughput inf.  It now
-        raises too, and names the module whose table holds the NaN."""
+        NaN below 3 processors, on P = 12.  The DP raised "no clustering
+        fits", which blamed the budget; the greedy returned a mapping with
+        throughput inf.  Both now raise InfeasibleError naming the module
+        whose table holds the NaN (the DP names the narrowest such module
+        over all clusterings, with or without worker processes)."""
         nan_below_3 = LambdaUnary(
             lambda p: np.where(p < 3, np.nan, 6.0 / p), name="nan-below-3"
         )
@@ -95,7 +97,19 @@ class TestDegenerateCosts:
             Task("b", nan_below_3),
             Task("c", PolynomialExec(0.1, 4.0, 0.0)),
         ])
-        with pytest.raises(InfeasibleError):
+        nan_module = r"module \[1\.\.1\].*NaN"
+        with pytest.raises(InfeasibleError, match=nan_module):
             optimal_mapping(chain, 12)
-        with pytest.raises(InfeasibleError, match=r"module \[1\.\.1\].*NaN"):
+        with pytest.raises(InfeasibleError, match=nan_module):
+            optimal_mapping(chain, 12, workers=2)
+        with pytest.raises(InfeasibleError, match=nan_module):
             heuristic_mapping(chain, 12)
+
+    def test_budget_message_kept_without_nan(self):
+        """A chain that truly does not fit keeps the budget wording."""
+        chain = TaskChain([
+            Task("a", PolynomialExec(0.1, 4.0, 0.0), min_procs=5),
+            Task("b", PolynomialExec(0.1, 4.0, 0.0), min_procs=5),
+        ])
+        with pytest.raises(InfeasibleError, match="fits on 4 processors"):
+            optimal_mapping(chain, 4)

@@ -20,9 +20,14 @@ from repro.core import (
     throughput_of_totals,
 )
 from repro.core.mapping import all_clusterings, singleton_clustering
+from repro.core.workspace import min_block_elements
 from repro.workloads.synthetic import random_chain
 
 RTOL = 1e-9
+
+#: The smallest budget the workspace accepts at P = 24: the four resident
+#: float64 tensors plus one single-cell transition block (value + index).
+LEAST_BUDGET_MB = (4 * 25**3 * 8 + min_block_elements(24) * 16 + 8) / 2**20
 
 
 def chains_matrix():
@@ -72,7 +77,7 @@ class TestConfigurationInvariance:
         assert again.totals == ref.totals
         assert again.throughput == ref.throughput
 
-    @pytest.mark.parametrize("budget_mb", [None, 24.0])
+    @pytest.mark.parametrize("budget_mb", [None, 24.0, LEAST_BUDGET_MB])
     def test_memory_budget_changes_blocking_not_results(self, budget_mb):
         chain, P, mem = random_chain(4, seed=3), 24, float("inf")
         ref = self._solve(chain, P, mem)
